@@ -212,6 +212,14 @@ echo "== instrumentation overhead smoke (1 sample) =="
 CHIMERA_BENCH_SAMPLES=1 CHIMERA_BENCH_WARMUP=1 \
     cargo bench --offline -p chimera-bench --bench instr_overhead
 
+echo "== layer benchmark smoke (perfbench) =="
+# perfbench is a package of its own (it is not a workspace member), so the
+# suites above never build it. Its smoke test runs every workload at tiny
+# scale: every metric BENCHMARK.json names must be emitted with its unit,
+# exact counters must repeat, and bad flags must exit 2. A VM change that
+# breaks a benchmark check or a metric name fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== dependency purity =="
 # Every node in the full dependency graph (normal, dev, and build deps)
 # must be a workspace-local chimera-* crate. `cargo tree` also emits

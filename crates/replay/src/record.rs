@@ -31,18 +31,23 @@ pub fn record(program: &Program, base: &ExecConfig) -> Recording {
 /// checkpointing entirely — the v1-era recording mode the format benchmark
 /// compares against).
 pub fn record_with(program: &Program, base: &ExecConfig, ckpt_every: u64) -> Recording {
-    let config = ExecConfig {
+    let mut sup = Recorder::with_interval(ckpt_every);
+    let result = execute_supervised(program, &recording_config(base), &mut sup);
+    Recording {
+        logs: sup.logs,
+        result,
+    }
+}
+
+/// `base` with every log-cost charge and weak-lock timeouts on: the
+/// configuration a recording runs under.
+pub(crate) fn recording_config(base: &ExecConfig) -> ExecConfig {
+    ExecConfig {
         log_sync: true,
         log_weak: true,
         log_input: true,
         timeout_enabled: true,
         ..*base
-    };
-    let mut sup = Recorder::with_interval(ckpt_every);
-    let result = execute_supervised(program, &config, &mut sup);
-    Recording {
-        logs: sup.logs,
-        result,
     }
 }
 

@@ -27,17 +27,22 @@ pub struct ReplayRun {
 /// this reason), weak-lock timeouts are disabled, and forced releases are
 /// re-injected at their recorded `(thread, instruction-count)` points.
 pub fn replay(program: &Program, logs: &ReplayLogs, base: &ExecConfig) -> ReplayRun {
-    let config = ExecConfig {
+    let mut sup = Replayer::new(logs.clone());
+    let result = execute_supervised(program, &replay_config(base), &mut sup);
+    let complete = result.outcome.is_exit() && sup.fully_consumed();
+    ReplayRun { result, complete }
+}
+
+/// `base` with log-cost charges and weak-lock timeouts off: replay pays no
+/// logging and injects recorded forced releases instead of timing out.
+pub(crate) fn replay_config(base: &ExecConfig) -> ExecConfig {
+    ExecConfig {
         log_sync: false,
         log_weak: false,
         log_input: false,
         timeout_enabled: false,
         ..*base
-    };
-    let mut sup = Replayer::new(logs.clone());
-    let result = execute_supervised(program, &config, &mut sup);
-    let complete = result.outcome.is_exit() && sup.fully_consumed();
-    ReplayRun { result, complete }
+    }
 }
 
 /// The order-enforcing supervisor.
@@ -123,11 +128,18 @@ impl Supervisor for Replayer {
         ])
     }
 
-    /// The machine must poll [`Supervisor::forced_release_at`] between
-    /// every pair of steps whenever the recording contains forced
-    /// releases — batching steps would skip recorded preemption points.
+    /// Only recordings with forced releases have anything to inject; the
+    /// machine bounds each thread's runs by [`Self::next_forced_release`]
+    /// and polls [`Supervisor::forced_release_at`] at those points.
     fn injects_forced_releases(&self) -> bool {
         !self.logs.forced.is_empty()
+    }
+
+    fn next_forced_release(&self, thread: ThreadId) -> Option<u64> {
+        self.forced_by_thread
+            .get(&thread.0)?
+            .front()
+            .map(|&(icount, _, _)| icount)
     }
 
     fn may_proceed(&mut self, point: OrderPoint, thread: ThreadId) -> bool {
@@ -261,13 +273,6 @@ pub struct BisectReplay {
 /// to the recording; it costs parallelism, which is irrelevant when
 /// hunting a divergence.
 pub fn replay_bisect(program: &Program, logs: &ReplayLogs, base: &ExecConfig) -> BisectReplay {
-    let config = ExecConfig {
-        log_sync: false,
-        log_weak: false,
-        log_input: false,
-        timeout_enabled: false,
-        ..*base
-    };
     // Mirror the recording's checkpoint cadence so the digest streams
     // line up; default to the standard chunk interval for logs recorded
     // without checkpoints.
@@ -281,7 +286,7 @@ pub fn replay_bisect(program: &Program, logs: &ReplayLogs, base: &ExecConfig) ->
         journal: logs.journal.clone(),
         cursor: 0,
     };
-    let result = execute_supervised(program, &config, &mut sup);
+    let result = execute_supervised(program, &replay_config(base), &mut sup);
     let complete = result.outcome.is_exit() && sup.rep.fully_consumed();
     BisectReplay {
         result,
@@ -349,6 +354,10 @@ impl Supervisor for BisectReplayer {
 
     fn injects_forced_releases(&self) -> bool {
         self.rep.injects_forced_releases()
+    }
+
+    fn next_forced_release(&self, thread: ThreadId) -> Option<u64> {
+        self.rep.next_forced_release(thread)
     }
 
     fn checkpoint_interval(&self) -> u64 {
@@ -498,6 +507,66 @@ mod tests {
             assert!(!rec.logs.checkpoints.is_empty(), "seed {seed}");
             assert_eq!(rep.observed.checkpoints, rec.logs.checkpoints, "seed {seed}");
         }
+    }
+
+    /// Fast-path guard: recording a weak-locked program (timeouts armed)
+    /// and replaying a log with forced releases (injections pending) must
+    /// both run the flat VM's batch-commit engine, not a per-step scan.
+    #[test]
+    fn weak_locked_record_and_forcing_replay_take_the_batch_path() {
+        use chimera_runtime::{execute_supervised_mode, InterpMode};
+        let w = chimera_workloads::by_name("radix").expect("radix workload");
+        let program = w.compile(&w.eval_params(4)).expect("radix compiles");
+        let races = chimera_relay::detect_races(&program);
+        let profile = chimera_profile::profile_runs(&program, &ExecConfig::default(), &[1, 2, 3]);
+        let (inst, _) = chimera_instrument::instrument(
+            &program,
+            &races,
+            &profile,
+            &chimera_instrument::OptSet::all(),
+        );
+        assert!(inst.weak_locks > 0, "radix must be weak-locked");
+        let record_flat = |weak_timeout: u64| {
+            let cfg = crate::record::recording_config(&ExecConfig {
+                seed: 5,
+                weak_timeout,
+                ..ExecConfig::default()
+            });
+            let mut sup = crate::record::Recorder::default();
+            let result = execute_supervised_mode(&inst, &cfg, &mut sup, InterpMode::Flat);
+            assert!(result.outcome.is_exit(), "{:?}", result.outcome);
+            (result, sup.logs)
+        };
+
+        let (rec, _) = record_flat(ExecConfig::default().weak_timeout);
+        // Runs must also last: a bound that cut every run to one op
+        // would still count runs.
+        let engaged =
+            |vm: chimera_runtime::VmPerf| vm.batch_runs > 0 && vm.batched_ops > 2 * vm.batch_runs;
+        assert!(
+            engaged(rec.stats.vm),
+            "a weak-locked recording left the batch path: {:?}",
+            rec.stats.vm
+        );
+
+        let (rec, logs) = record_flat(200);
+        assert!(
+            !logs.forced.is_empty(),
+            "a 200-cycle timeout must force releases"
+        );
+        let cfg = replay_config(&ExecConfig {
+            seed: 6,
+            ..ExecConfig::default()
+        });
+        let mut sup = Replayer::new(logs);
+        let rep = execute_supervised_mode(&inst, &cfg, &mut sup, InterpMode::Flat);
+        assert!(rep.outcome.is_exit() && sup.fully_consumed());
+        assert_eq!(rep.state_hash, rec.state_hash);
+        assert!(
+            engaged(rep.stats.vm),
+            "a replay injecting forced releases left the batch path: {:?}",
+            rep.stats.vm
+        );
     }
 
     #[test]

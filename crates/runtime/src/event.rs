@@ -274,8 +274,7 @@ pub trait Supervisor {
 
     /// True if this supervisor may ever answer
     /// [`Supervisor::forced_release_at`] with `Some` (the replayer does).
-    /// When `false`, the machine may batch consecutive steps of one thread
-    /// without polling for injected releases between them.
+    /// When `false`, the machine never polls for injected releases.
     fn injects_forced_releases(&self) -> bool {
         false
     }
@@ -307,12 +306,28 @@ pub trait Supervisor {
     /// `thread` at retired-instruction count `icount` (and with the same
     /// parked/running state), return it so the machine replays the
     /// preemption at exactly that point.
+    ///
+    /// The contract is an icount bound, not a per-step poll: the machine
+    /// asks at the points where the answer can change — when `thread`
+    /// reaches the count [`Supervisor::next_forced_release`] reported,
+    /// after any of its steps that leaves it there, after any injected
+    /// release, and after any wake, spawn or exit. Between those points
+    /// it may run any thread's steps without asking.
     fn forced_release_at(
         &mut self,
         _thread: ThreadId,
         _icount: u64,
         _parked: bool,
     ) -> Option<WeakLockId> {
+        None
+    }
+
+    /// The retired-instruction count at which `thread`'s next recorded
+    /// forced release is due, if any: the only count at which
+    /// [`Supervisor::forced_release_at`] may answer `Some` for `thread`.
+    /// The machine bounds the thread's uninterrupted runs by it; it is
+    /// re-read whenever an injected release may have been consumed.
+    fn next_forced_release(&self, _thread: ThreadId) -> Option<u64> {
         None
     }
 
@@ -373,6 +388,7 @@ mod tests {
         assert!(s.may_proceed(OrderPoint::Spawn, ThreadId(0)));
         assert!(s.input_override(ThreadId(0), 0, 4).is_none());
         assert!(s.forced_release_at(ThreadId(0), 10, false).is_none());
+        assert!(s.next_forced_release(ThreadId(0)).is_none());
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub struct ExecConfig {
     pub count_blocks: bool,
     /// Scheduling strategy (the schedule-exploration seam, see
     /// [`crate::sched`]). The clock-ordered default keeps the flat hot
-    /// loop's burst/ready-queue fast path; adversarial strategies run
+    /// loop's ready-queue fast path; adversarial strategies run
     /// both interpreter modes through one shared per-step loop.
     pub sched: SchedStrategy,
     /// OS worker threads for the DRF-certified parallel flat mode: `<= 1`
@@ -190,8 +190,8 @@ impl ExecResult {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InterpMode {
     /// Pre-decoded hot loop: `(func, pc)` frames over flattened per-function
-    /// code arrays, dense sync tables, scratch-buffer reuse, and burst
-    /// scheduling of the running thread (see DESIGN.md "VM internals").
+    /// code arrays, dense sync tables, scratch-buffer reuse, and ready-queue
+    /// scheduling with batch-committed runs (see DESIGN.md "VM internals").
     #[default]
     Flat,
     /// The original interpreter: per-step `Instr`/`Terminator` clones,
@@ -463,9 +463,10 @@ struct SegCtx<'a> {
     globals: &'a [i64],
     id: u32,
     /// Earliest scheduler key of a ready thread already sitting at a cold
-    /// op when the round began: no segment op's key may reach it, because
-    /// that cold op's memory footprint is not validated against segments.
-    bound: Option<(u64, u32)>,
+    /// op when the round began, or the weak-lock deadline key if earlier:
+    /// no segment op's key may reach it, because that cold op's memory
+    /// footprint is not validated against segments.
+    bound: (u64, u32),
 }
 
 /// Execute one speculative hot segment: retire thread-local ops from the
@@ -486,11 +487,9 @@ fn run_segment<M: SegMem>(
     let mut run = SegRun::default();
     // The bound is only re-checked after each commit, so a thread whose
     // starting key already reaches it must not retire anything.
-    if let Some(b) = ctx.bound {
-        if (*clock, ctx.id) >= b {
-            run.end = SegEnd::Bound;
-            return run;
-        }
+    if (*clock, ctx.id) >= ctx.bound {
+        run.end = SegEnd::Bound;
+        return run;
     }
     macro_rules! commit {
         ($cost:expr) => {{
@@ -502,11 +501,9 @@ fn run_segment<M: SegMem>(
     }
     macro_rules! bound_check {
         () => {{
-            if let Some(b) = ctx.bound {
-                if (*clock, ctx.id) >= b {
-                    run.end = SegEnd::Bound;
-                    break;
-                }
+            if (*clock, ctx.id) >= ctx.bound {
+                run.end = SegEnd::Bound;
+                break;
             }
         }};
     }
@@ -971,9 +968,18 @@ struct Machine<'p> {
     block_counts: Vec<Vec<u64>>,
     /// Event kinds the supervisor consumes (set once per run).
     mask: EventMask,
-    /// Set whenever a wakeup/spawn may have changed which thread the
-    /// scheduler would pick; ends the flat mode's current burst.
+    /// Set whenever a wakeup/spawn/exit may have changed which thread the
+    /// scheduler would pick; ends the flat mode's current queue run.
     sched_dirty: bool,
+    /// Earliest expiry `block_start + weak_timeout` over weak-lock waiters
+    /// (`u64::MAX` when none or timeouts are off): the flat loop's
+    /// deadline key. Set at each rebuild, lowered by weak blocks.
+    weak_deadline: u64,
+    /// Per thread, the retired-instruction count of its next recorded
+    /// forced release ([`Supervisor::next_forced_release`], `u64::MAX` if
+    /// none); refreshed at each flat rebuild, empty unless the supervisor
+    /// injects.
+    forced_at: Vec<u64>,
     /// Scratch for call/spawn argument marshalling (reused across calls).
     argv: Vec<i64>,
     /// Scratch for `sys_write` payload staging (reused across syscalls).
@@ -987,7 +993,7 @@ struct Machine<'p> {
     /// Running FNV-1a digest of schedule-determined state (see
     /// [`Machine::fold_ordered`]).
     ckpt_digest: u64,
-    /// Speculative segment-round engine state (flat queue mode only).
+    /// Speculative segment-round engine state (flat mode only).
     spec: SpecState,
 }
 
@@ -1053,6 +1059,8 @@ impl<'p> Machine<'p> {
                 .collect(),
             mask: EventMask::ALL,
             sched_dirty: false,
+            weak_deadline: u64::MAX,
+            forced_at: Vec::new(),
             argv: Vec::new(),
             io_buf: Vec::new(),
             ckpt_interval: 0,
@@ -1392,198 +1400,141 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// The flat scheduling loop. One scan finds both the minimum-clock
-    /// ready thread and the runner-up key, then the chosen thread runs a
-    /// *burst*: it keeps stepping with no rescan for as long as the
-    /// scheduling decision provably cannot change — it stays ready, its
-    /// key stays below the runner-up's, no wakeup/spawn touched another
-    /// thread (`sched_dirty`), no weak-lock waiter could time out, and the
-    /// supervisor never injects forced releases. Each of those conditions
-    /// is exactly what the per-step rescan of the reference loop exists to
-    /// notice, so bursts are semantics-preserving by construction.
+    /// The flat scheduling loop — the only one flat mode has under the
+    /// clock-ordered baseline (DESIGN.md §8). Each pass is a *rebuild*:
+    /// poll injected releases, then one scan collects the sorted
+    /// ready-queue of `(clock, id)` keys and the earliest weak-waiter
+    /// expiry, and [`Self::run_queue_hot`] runs the queue until a
+    /// scheduling event (`sched_dirty`), the expiry, or a thread's next
+    /// injected-release point ([`Supervisor::next_forced_release`]) needs
+    /// the reference loop's per-step checks again. Those checks —
+    /// [`Self::try_force_timed_out`] against the front thread's clock, the
+    /// injection poll — run unchanged here, at the same points, so the
+    /// schedule is bit-identical to the reference scan.
     fn run_flat(mut self, sup: &mut dyn Supervisor) -> ExecResult {
         let injects = sup.injects_forced_releases();
-        // With no supervisor injection and no weak-lock timeouts, scheduling
-        // only changes at blocks/wakes/spawns — all of which set
-        // `sched_dirty`. That lets the hot path run off a small sorted
-        // ready-queue of (clock, id) keys instead of rescanning every `Thr`
-        // per step: rebuild on dirty, reposition just the stepped thread's
-        // key otherwise. The front of the queue is always the scan's
-        // minimum, so the schedule is bit-identical to the reference scan.
-        let queue_mode =
-            !(injects || (self.config.timeout_enabled && self.flat.has_weak_ops));
-        // Batch commit (DESIGN.md §13): when the supervisor also masks out
+        // Batch commit (DESIGN.md §13): when the supervisor masks out
         // per-op Load/Store happens-before events, runs of thread-local hot
         // ops have *no* per-op obligations beyond cost/clock/step
         // accounting, so the queue schedule can be driven from a tight
         // inner loop over the fused sidecar arena instead of the
         // step-dispatch path.
-        let batch_ok = queue_mode
-            && !self.wants_hb(EventKind::Load)
-            && !self.wants_hb(EventKind::Store);
+        let batch_ok = !self.wants_hb(EventKind::Load) && !self.wants_hb(EventKind::Store);
+        let (timeouts, timeout) = (self.config.timeout_enabled, self.config.weak_timeout);
+        // Forced releases, and with them the deadline key, injected-release
+        // points and forced reacquires, need weak ops and either timeouts
+        // or injections.
+        let forcing = self.flat.has_weak_ops && (timeouts || injects);
         let mut queue: Vec<(u64, u32)> = Vec::new();
         loop {
             if let Some(outcome) = self.finished.take() {
                 return self.finish(outcome);
             }
-            if injects {
-                self.apply_injected_releases(sup);
-            }
+            let injected = injects && self.apply_injected_releases(sup);
 
-            // One scan: best ready key, runner-up ready key, weak-blocked
-            // presence, all-done.
-            let mut best: Option<(u64, u32)> = None;
-            let mut second: Option<(u64, u32)> = None;
-            let mut any_weak_blocked = false;
+            queue.clear();
             let mut all_done = true;
+            let mut deadline = u64::MAX;
             for t in &self.threads {
                 match &t.state {
                     TState::Ready => {
                         all_done = false;
-                        let k = (t.clock, t.id.0);
-                        match best {
-                            Some(b) if k >= b => {
-                                if second.is_none_or(|s| k < s) {
-                                    second = Some(k);
-                                }
-                            }
-                            _ => {
-                                second = best;
-                                best = Some(k);
-                            }
-                        }
+                        queue.push((t.clock, t.id.0));
                     }
                     TState::Done => {}
                     TState::Blocked(r) => {
                         all_done = false;
-                        if matches!(r, BlockReason::Weak(..)) {
-                            any_weak_blocked = true;
+                        if timeouts && matches!(r, BlockReason::Weak(..)) {
+                            deadline = deadline.min(t.block_start.saturating_add(timeout));
                         }
                     }
                 }
             }
+            queue.sort_unstable();
 
-            let Some((_, tid0)) = best else {
+            let Some(&(now, front)) = queue.first() else {
                 if all_done {
                     let ret = self.main_ret;
                     return self.finish(Outcome::Exited(ret));
                 }
-                if self.config.timeout_enabled && self.try_force_any(sup) {
+                if timeouts && self.try_force_any(sup) {
                     continue;
                 }
                 return self.finish_deadlock();
             };
-            let tid = ThreadId(tid0);
-
-            if self.config.timeout_enabled {
-                let now = self.threads[tid.index()].clock;
-                if self.try_force_timed_out(sup, now) {
-                    continue;
-                }
-            }
-
-            if queue_mode {
-                queue.clear();
-                for t in &self.threads {
-                    if t.state == TState::Ready {
-                        queue.push((t.clock, t.id.0));
-                    }
-                }
-                queue.sort_unstable();
-                self.sched_dirty = false;
-                if batch_ok {
-                    if let Some(outcome) = self.run_queue_hot(sup, &mut queue) {
-                        return self.finish(outcome);
-                    }
-                    continue;
-                }
-                while let Some(&(_, id)) = queue.first() {
-                    let next = self.step_flat(sup, ThreadId(id));
-                    self.steps += 1;
-                    if self.steps > self.config.max_steps {
-                        return self.finish(Outcome::StepLimit);
-                    }
-                    if self.finished.is_some() || self.sched_dirty {
-                        break;
-                    }
-                    let Some(clock) = next else {
-                        // Blocked (a `Done` transition marks the scheduler
-                        // dirty and breaks above): drop it from the queue.
-                        queue.remove(0);
-                        continue;
-                    };
-                    // Only the stepped thread's clock moved: shift its key
-                    // right to its new sorted position (the queue is tiny —
-                    // one entry per ready thread).
-                    reposition_front(&mut queue, (clock, id));
-                }
+            if now > deadline {
+                // The earliest weak waiter has expired at this "now": the
+                // reference scan's starvation check fires.
+                self.try_force_timed_out(sup, now);
                 continue;
             }
-
-            // With a weak-lock waiter present and timeouts armed, the
-            // chosen thread's advancing clock can expire the waiter at any
-            // step, so the timeout scan must run per step: no burst.
-            let can_burst = !(injects || (self.config.timeout_enabled && any_weak_blocked));
+            self.weak_deadline = deadline;
+            if injects {
+                self.forced_at.clear();
+                self.forced_at.extend(
+                    self.threads
+                        .iter()
+                        .map(|t| sup.next_forced_release(t.id).unwrap_or(u64::MAX)),
+                );
+            }
             self.sched_dirty = false;
-            loop {
-                let next = self.step_flat(sup, tid);
+
+            if injected {
+                // The reference polls again before the very next step (one
+                // holder can carry two releases at one count): one step,
+                // then rebuild.
+                self.step_flat(sup, ThreadId(front));
                 self.steps += 1;
-                if self.steps > self.config.max_steps {
-                    return self.finish(Outcome::StepLimit);
-                }
-                if !can_burst || self.finished.is_some() || self.sched_dirty {
-                    break;
-                }
-                let Some(clock) = next else {
-                    break;
-                };
-                if let Some(s) = second {
-                    if (clock, tid.0) >= s {
-                        break;
-                    }
-                }
+            } else if let Some(outcome) = self.run_queue_hot(sup, &mut queue, batch_ok, forcing) {
+                return self.finish(outcome);
+            }
+            if self.steps > self.config.max_steps {
+                return self.finish(Outcome::StepLimit);
             }
         }
     }
 
-    /// The batch-commit engine: drives the queue-mode schedule from a
-    /// tight cross-thread loop that dispatches the fused sidecar arena
-    /// and accumulates cost/clock/step accounting in locals, written back
-    /// once on exit.
+    /// The queue runner behind [`Self::run_flat`]. With `batch_ok`, the
+    /// front thread's thread-local hot ops run from the fused sidecar
+    /// arena with cost/clock/step accounting in locals, written back once
+    /// on exit (batch commit); every other op is single-stepped through
+    /// [`Self::step_flat`], as is a thread with a pending forced reacquire
+    /// (the reacquire protocol runs before its next op).
     ///
-    /// Legality (DESIGN.md §13): queue mode already excludes supervisor
-    /// injection and weak-lock timeouts, and the caller additionally
-    /// requires that per-op `Load`/`Store` happens-before events are
-    /// masked out. Every op dispatched inline here is thread-local and
-    /// non-blocking (sync, I/O, calls, heap, weak ops and returns fall
-    /// out to [`Self::step_flat`]), so a retiring hot op's only
+    /// Legality (DESIGN.md §13): every op dispatched inline here is
+    /// thread-local and non-blocking, and per-op `Load`/`Store`
+    /// happens-before events are masked out, so a retiring hot op's only
     /// obligations are the commit itself — identical RNG draws included —
-    /// the step budget, and the scheduling bound against the runner-up
-    /// queue key. `pending_reacquire` is provably empty in queue mode
-    /// (forced releases require injection or timeouts), event emission
-    /// and checkpoint folds are inert, and block counts are maintained
-    /// inline. The observable execution is therefore bit-identical to
-    /// single-step dispatch; only the [`VmPerf`] strategy counters
-    /// differ.
+    /// and the run's bounds: the step budget, the runner-up queue key, the
+    /// weak-lock deadline key `(deadline, u32::MAX)`, and the thread's next
+    /// injected-release point. Event emission and checkpoint folds are
+    /// inert for hot ops, and block counts are maintained inline. The
+    /// observable execution is therefore bit-identical to single-step
+    /// dispatch; only the [`VmPerf`] strategy counters differ.
     ///
     /// Returns `Some(outcome)` when the run ends the execution (step
-    /// limit); `None` hands control back to the scheduler loop (queue
-    /// empty, `finished` set, or `sched_dirty` after a cold op).
+    /// limit); `None` hands control back to the rebuild (queue empty,
+    /// `finished` set, `sched_dirty` after a cold op, the front key past
+    /// the deadline, or a thread at its injected-release point).
     fn run_queue_hot(
         &mut self,
         sup: &mut dyn Supervisor,
         queue: &mut Vec<(u64, u32)>,
+        batch_ok: bool,
+        forcing: bool,
     ) -> Option<Outcome> {
         enum RunEnd {
             /// Next op is not batchable: single-step it at the dispatcher.
             Cold,
-            /// The thread's clock crossed the runner-up key; payload is
-            /// the new clock for the queue reposition.
+            /// The thread's clock crossed the runner-up or deadline key;
+            /// payload is the new clock for the queue reposition.
             Yield(u64),
             /// A constituent trapped.
             Trap(String),
-            /// Step budget exhausted (the op at the limit has committed).
-            Limit,
+            /// The run's step cap was reached (the op that reached it has
+            /// committed): the step budget, or the thread's next
+            /// injected-release point.
+            Cap,
         }
 
         let jit_period = self.config.jitter.period;
@@ -1596,13 +1547,21 @@ impl<'p> Machine<'p> {
         let mut fused_ops = 0u64;
         let mut batch_runs = 0u64;
         let mut batched_ops = 0u64;
-        // Speculative rounds additionally require jitter off (hot commits
-        // must draw no RNG, or run-ahead would reorder the stream) and
-        // block counting off (hot control flow must stay write-free
-        // outside thread-local state).
-        let rounds_ok = jit_period == 0 && !count_blocks;
+        // Speculative rounds additionally require batch legality, jitter
+        // off (hot commits must draw no RNG, or run-ahead would reorder
+        // the stream) and block counting off (hot control flow must stay
+        // write-free outside thread-local state).
+        let rounds_ok = batch_ok && jit_period == 0 && !count_blocks;
 
         let result = loop {
+            let Some(&(front, _)) = queue.first() else {
+                break None;
+            };
+            if forcing && front > self.weak_deadline {
+                // The front thread would step past a weak waiter's
+                // expiry: the rebuild forces the release first.
+                break None;
+            }
             if rounds_ok && queue.len() >= 2 {
                 if self.spec.cooldown > 0 {
                     self.spec.cooldown -= 1;
@@ -1610,20 +1569,36 @@ impl<'p> Machine<'p> {
                     continue;
                 }
             }
-            let Some(&(_, id)) = queue.first() else {
-                break None;
-            };
+            let (_, id) = queue[0];
             let tix = id as usize;
-            debug_assert!(
-                self.threads[tix].pending_reacquire.is_empty(),
-                "queue mode excludes forced releases"
-            );
+            // The run's bounds: the runner-up key and the step budget. Runs
+            // average few ops, so other executions pay nothing more per
+            // run; when forcing, the key drops to the deadline key, the cap
+            // to the thread's next injected-release point (steps and
+            // icount advance together in a run). A thread already on that
+            // point was polled at the rebuild, and a hot op moves it past
+            // for good. A thread owing a forced reacquire single-steps.
+            let mut bound = queue.get(1).copied();
+            let mut run_cap = max_steps;
+            let mut cold = !batch_ok;
+            if forcing {
+                let t = &self.threads[tix];
+                let d = (self.weak_deadline, u32::MAX);
+                bound = Some(bound.map_or(d, |b| b.min(d)));
+                let ic = self.forced_at.get(tix).copied().unwrap_or(u64::MAX);
+                if ic > t.icount {
+                    run_cap = run_cap.min(steps.saturating_add(ic - t.icount - 1));
+                }
+                cold |= !t.pending_reacquire.is_empty();
+            }
             let run_start = batched_ops;
             // One uninterrupted same-thread run. Disjoint field borrows:
             // the thread's frame/clock/icount mutably, everything else
             // (`flat`, `costs`, `mem`, `rng`, `block_counts`) through
             // separate fields of `self`.
-            let end = {
+            let end = if cold {
+                RunEnd::Cold
+            } else {
                 let Thr {
                     frames,
                     clock,
@@ -1634,7 +1609,6 @@ impl<'p> Machine<'p> {
                 let fidx = frame.func.index();
                 let func = &self.flat.funcs[fidx];
                 let fcosts = &self.costs[fidx];
-                let bound = queue.get(1).copied();
 
                 // One constituent's commit: identical arithmetic and RNG
                 // draw order to `commit_ok`, against the hoisted locals.
@@ -1657,8 +1631,8 @@ impl<'p> Machine<'p> {
                 // second op).
                 macro_rules! recheck {
                     () => {{
-                        if steps > max_steps {
-                            break RunEnd::Limit;
+                        if steps > run_cap {
+                            break RunEnd::Cap;
                         }
                         if let Some(b) = bound {
                             if (*clock, id) >= b {
@@ -2013,7 +1987,14 @@ impl<'p> Machine<'p> {
                     if steps > max_steps {
                         break Some(Outcome::StepLimit);
                     }
-                    if self.finished.is_some() || self.sched_dirty {
+                    // A step that leaves (or puts) the thread on its
+                    // injected-release point — a block, a reacquire — may
+                    // have changed what the poll answers.
+                    if self.finished.is_some()
+                        || self.sched_dirty
+                        || (forcing
+                            && self.forced_at.get(tix) == Some(&self.threads[tix].icount))
+                    {
                         break None;
                     }
                     match next {
@@ -2030,7 +2011,9 @@ impl<'p> Machine<'p> {
                     self.trap(ThreadId(id), message);
                     break None;
                 }
-                RunEnd::Limit => break Some(Outcome::StepLimit),
+                // Step budget exhausted, or else the thread reached its
+                // injected-release point and the rebuild must poll.
+                RunEnd::Cap => break (steps > max_steps).then_some(Outcome::StepLimit),
             }
         };
 
@@ -2066,14 +2049,21 @@ impl<'p> Machine<'p> {
         self.prepare_round(queue);
         // Earliest key among ready threads already sitting at a cold op:
         // segments must stop strictly before it (the queue is sorted, so
-        // the first cold thread has the minimal cold key).
+        // the first cold thread has the minimal cold key). A pending
+        // forced reacquire runs before the op at `pc`, and a thread whose
+        // next injected-release point a segment could reach must stop
+        // there for the rebuild's poll, so both count as cold. The
+        // weak-lock deadline key bounds every segment like a cold op.
+        let deadline = (self.weak_deadline, u32::MAX);
         let bound0 = queue.iter().copied().find(|&(_, id)| {
-            let f = self.threads[id as usize]
-                .frames
-                .last()
-                .expect("live thread has frames");
-            !op_is_hot(&self.flat.funcs[f.func.index()].fused[f.pc as usize])
+            let t = &self.threads[id as usize];
+            let f = t.frames.last().expect("live thread has frames");
+            let ic = self.forced_at.get(id as usize).copied().unwrap_or(u64::MAX);
+            !t.pending_reacquire.is_empty()
+                || ic.checked_sub(t.icount).is_some_and(|n| n <= SEG_CAP + 1)
+                || !op_is_hot(&self.flat.funcs[f.func.index()].fused[f.pc as usize])
         });
+        let bound0 = bound0.map_or(deadline, |k| k.min(deadline));
         let parallel = self.config.parallelism > 1 && !serial_requested();
         let committed = if parallel {
             self.round_par(queue, bound0)
@@ -2169,7 +2159,7 @@ impl<'p> Machine<'p> {
     fn round_direct(
         &mut self,
         queue: &[(u64, u32)],
-        bound0: Option<(u64, u32)>,
+        bound0: (u64, u32),
     ) -> Option<u64> {
         let epoch = self.spec.epoch;
         // Moved out of `self.spec` so the segment executor can borrow the
@@ -2304,7 +2294,7 @@ impl<'p> Machine<'p> {
     /// cross-segment read of a written page is itself a detected
     /// conflict, discarding the round in both modes before any value
     /// divergence can matter.
-    fn round_par(&mut self, queue: &[(u64, u32)], bound0: Option<(u64, u32)>) -> Option<u64> {
+    fn round_par(&mut self, queue: &[(u64, u32)], bound0: (u64, u32)) -> Option<u64> {
         struct SegJob {
             tix: usize,
             frame: Frame,
@@ -2461,7 +2451,10 @@ impl<'p> Machine<'p> {
 
     // ---- forced weak-lock release (§2.3) ----
 
-    fn apply_injected_releases(&mut self, sup: &mut dyn Supervisor) {
+    /// Poll the supervisor for recorded forced releases due now, in thread
+    /// order, and apply them. Returns whether any was due.
+    fn apply_injected_releases(&mut self, sup: &mut dyn Supervisor) -> bool {
+        let mut any = false;
         for i in 0..self.threads.len() {
             if self.threads[i].state == TState::Done {
                 continue;
@@ -2470,8 +2463,10 @@ impl<'p> Machine<'p> {
             let parked = Self::is_parked(&self.threads[i].state);
             if let Some(lock) = sup.forced_release_at(id, icount, parked) {
                 self.force_release(sup, lock, id);
+                any = true;
             }
         }
+        any
     }
 
     /// Is a thread parked inside a blocking operation whose *entry* had
@@ -2996,6 +2991,14 @@ impl<'p> Machine<'p> {
     fn block(&mut self, tid: ThreadId, reason: BlockReason) {
         let t = &mut self.threads[tid.index()];
         t.block_start = t.clock;
+        if self.config.timeout_enabled && matches!(reason, BlockReason::Weak(..)) {
+            // Blocks are not scheduling events (`sched_dirty` stays
+            // clear), so a new weak waiter lowers the flat loop's deadline
+            // key directly.
+            self.weak_deadline = self
+                .weak_deadline
+                .min(t.clock.saturating_add(self.config.weak_timeout));
+        }
         t.state = TState::Blocked(reason);
     }
 

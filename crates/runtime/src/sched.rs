@@ -9,7 +9,7 @@
 //! spirit of PCT (Burckhardt et al., ASPLOS 2010) and rr's chaos mode:
 //!
 //! * [`SchedStrategy::ClockJitter`] — the baseline. Keeps the flat hot
-//!   loop's burst/ready-queue fast path.
+//!   loop's ready-queue fast path.
 //! * [`SchedStrategy::Pct`] — randomized thread priorities with `depth`
 //!   seeded priority-change points: the scheduler always runs the
 //!   highest-priority ready thread, and at each change point the running
@@ -167,7 +167,7 @@ pub trait Scheduler {
 
 /// The baseline policy as a [`Scheduler`]: smallest `(clock, id)` wins.
 /// The machine routes [`SchedStrategy::ClockJitter`] to its optimized
-/// burst/queue loops instead, but this impl keeps the seam total (and is
+/// ready-queue loop instead, but this impl keeps the seam total (and is
 /// what the strategy loop would run if asked to).
 pub struct ClockOrdered;
 

@@ -261,8 +261,8 @@ fn instrumented_program_with_forced_releases_agrees() {
 }
 
 /// Record under one mode, replay under the other (both pairings): the
-/// replay supervisor injects forced releases and stalls threads at order
-/// points, exercising the flat loop's no-burst fallback.
+/// replay supervisor stalls threads at order points, which the flat loop
+/// handles at its ready-queue rebuilds.
 #[test]
 fn record_replay_round_trips_across_modes() {
     let p = compile(RACY).unwrap();
@@ -302,6 +302,83 @@ fn record_replay_round_trips_across_modes() {
             rep.state_hash, rec.result.state_hash,
             "replay memory diverged from recording under {mode_label}"
         );
+    }
+}
+
+/// Record `p` under recording costs through the recorder supervisor in
+/// one interpreter mode (`chimera_replay::record` always takes the default
+/// mode).
+fn record_mode(
+    p: &chimera_minic::ir::Program,
+    cfg: &ExecConfig,
+    mode: InterpMode,
+) -> (ExecResult, chimera_replay::ReplayLogs) {
+    let cfg = ExecConfig {
+        log_sync: true,
+        log_weak: true,
+        log_input: true,
+        timeout_enabled: true,
+        ..*cfg
+    };
+    let mut sup = chimera_replay::Recorder::default();
+    let result = chimera_runtime::execute_supervised_mode(p, &cfg, &mut sup, mode);
+    (result, sup.logs)
+}
+
+/// Replay `logs` through the replay supervisor in one interpreter mode,
+/// under the configuration `chimera_replay::replay` uses.
+fn replay_mode(
+    p: &chimera_minic::ir::Program,
+    logs: &chimera_replay::ReplayLogs,
+    cfg: &ExecConfig,
+    mode: InterpMode,
+) -> ExecResult {
+    let cfg = ExecConfig {
+        log_sync: false,
+        log_weak: false,
+        log_input: false,
+        timeout_enabled: false,
+        ..*cfg
+    };
+    let mut sup = chimera_replay::Replayer::new(logs.clone());
+    chimera_runtime::execute_supervised_mode(p, &cfg, &mut sup, mode)
+}
+
+/// The forcing variant of the round trip: a 2k-cycle timeout makes the
+/// recording force releases, so replay injects them at their recorded
+/// instruction counts — the flat loop bounds each thread's queue runs by
+/// its next injection point. Both modes must record the same logs and
+/// replay them identically, and the replays must reproduce the recording.
+#[test]
+fn forcing_record_replay_round_trips_across_modes() {
+    let p = compile(RACY).unwrap();
+    let a = analyze(&p, &PipelineConfig::default());
+    for seed in [11, 29] {
+        let rec_cfg = ExecConfig {
+            seed,
+            collect_trace: true,
+            weak_timeout: 2_000,
+            ..ExecConfig::default()
+        };
+        let (rec, logs) = record_mode(&a.instrumented, &rec_cfg, InterpMode::Flat);
+        let (rec_refr, logs_refr) = record_mode(&a.instrumented, &rec_cfg, InterpMode::Reference);
+        assert_identical(&rec, &rec_refr, &format!("forcing recording seed={seed}"));
+        assert_eq!(logs, logs_refr, "recorded logs diverged, seed={seed}");
+        assert!(rec.outcome.is_exit());
+        assert!(
+            !logs.forced.is_empty(),
+            "a 2k-cycle timeout must force releases (seed={seed})"
+        );
+        let rep_cfg = ExecConfig {
+            seed: seed + 999,
+            ..rec_cfg
+        };
+        let flat = replay_mode(&a.instrumented, &logs, &rep_cfg, InterpMode::Flat);
+        let refr = replay_mode(&a.instrumented, &logs, &rep_cfg, InterpMode::Reference);
+        assert_identical(&flat, &refr, &format!("forcing replay seed={seed}"));
+        assert_eq!(flat.stats.forced_releases, logs.forced.len() as u64);
+        assert_eq!(flat.output, rec.output, "replay output diverged, seed={seed}");
+        assert_eq!(flat.state_hash, rec.state_hash, "replay memory diverged, seed={seed}");
     }
 }
 
@@ -421,6 +498,10 @@ struct VmCase {
     /// Jitter off lets the speculative segment engine (and with
     /// `parallelism > 1` its parallel dispatch) engage.
     jitter_off: bool,
+    /// When set, the case also analyzes the program and records its
+    /// instrumented variant with this weak-lock timeout, then replays the
+    /// log in both modes (tiny timeouts force releases).
+    record_timeout: Option<u64>,
 }
 
 fn render_program(case: &VmCase) -> String {
@@ -493,6 +574,12 @@ fn case_gen() -> Gen<VmCase> {
         },
         parallelism: s.int(1u32..=4),
         jitter_off: s.bool(),
+        // Drawn last so the cases above keep their programs: a third of
+        // cases also record and replay the instrumented variant.
+        record_timeout: match s.int(0u8..3) {
+            0 => Some([50, 2_000, 500_000][s.int(0usize..3)]),
+            _ => None,
+        },
     })
 }
 
@@ -530,7 +617,90 @@ fn check_modes_agree(case: &VmCase) -> Result<(), String> {
         flat.outcome,
         refr.outcome
     );
+    if let Some(timeout) = case.record_timeout {
+        check_record_replay_agree(&p, &cfg, timeout, &src)?;
+    }
     Ok(())
+}
+
+/// The instrumented half of a sweep case: record the instrumented variant
+/// under recording costs (clock-ordered scheduling, so the flat ready-queue
+/// runs with weak-lock deadlines armed) in both modes, then replay the log
+/// in both modes (injecting any forced releases). Results, traces and logs
+/// must agree bit for bit.
+fn check_record_replay_agree(
+    p: &chimera_minic::ir::Program,
+    cfg: &ExecConfig,
+    timeout: u64,
+    src: &str,
+) -> Result<(), String> {
+    let a = analyze(p, &PipelineConfig::default());
+    let rec_cfg = ExecConfig {
+        weak_timeout: timeout,
+        collect_trace: true,
+        sched: SchedStrategy::ClockJitter,
+        // Generated programs retire a few thousand instructions. Tiny
+        // timeouts can make forced releases and reacquires ping-pong until
+        // the step limit (both modes agree on that outcome); the cap keeps
+        // such a case's trace and logs small.
+        max_steps: 400_000,
+        ..*cfg
+    };
+    let (flat, flat_logs) = record_mode(&a.instrumented, &rec_cfg, InterpMode::Flat);
+    let (refr, refr_logs) = record_mode(&a.instrumented, &rec_cfg, InterpMode::Reference);
+    chimera_testkit::prop_assert!(
+        same_execution(&flat, &refr) && flat_logs == refr_logs,
+        "recordings diverged at timeout {timeout} (flat {:?} vs reference {:?}) for:\n{src}",
+        flat.outcome,
+        refr.outcome
+    );
+    let rep_cfg = ExecConfig {
+        seed: cfg.seed ^ 0x5eed,
+        ..rec_cfg
+    };
+    let flat_rep = replay_mode(&a.instrumented, &flat_logs, &rep_cfg, InterpMode::Flat);
+    let refr_rep = replay_mode(&a.instrumented, &flat_logs, &rep_cfg, InterpMode::Reference);
+    chimera_testkit::prop_assert!(
+        same_execution(&flat_rep, &refr_rep),
+        "replays of a log with {} forced release(s) diverged (flat {:?} vs reference {:?}) for:\n{src}",
+        flat_logs.forced.len(),
+        flat_rep.outcome,
+        refr_rep.outcome
+    );
+    Ok(())
+}
+
+/// Every observable field of two executions agrees (the boolean form of
+/// [`assert_identical`] for property checks).
+fn same_execution(a: &ExecResult, b: &ExecResult) -> bool {
+    a.outcome == b.outcome
+        && a.output == b.output
+        && a.state_hash == b.state_hash
+        && a.makespan == b.makespan
+        && a.stats == b.stats
+        && a.trace == b.trace
+        && a.block_counts == b.block_counts
+}
+
+/// A shrunk sweep case whose recording forces two releases from one
+/// holder at the same instruction count: replay must inject the second
+/// one step after the first, as the reference poll does, rather than at
+/// the holder's next step.
+#[test]
+fn same_point_forced_releases_replay_identically() {
+    let case = VmCase {
+        body_a: vec![Stmt::ArrayLoop(77)],
+        body_b: vec![Stmt::ArrayLoop(32)],
+        reps: 3,
+        threads: 4,
+        seed: 0,
+        collect_trace: false,
+        sched: SchedStrategy::ClockJitter,
+        parallelism: 1,
+        jitter_off: false,
+        record_timeout: Some(50),
+    };
+    check_modes_agree(&case).unwrap();
 }
 
 /// 64+ generated multithreaded programs execute identically in both modes.
