@@ -975,10 +975,9 @@ struct Machine<'p> {
     /// (`u64::MAX` when none or timeouts are off): the flat loop's
     /// deadline key. Set at each rebuild, lowered by weak blocks.
     weak_deadline: u64,
-    /// Per thread, the retired-instruction count of its next recorded
-    /// forced release ([`Supervisor::next_forced_release`], `u64::MAX` if
-    /// none); refreshed at each flat rebuild, empty unless the supervisor
-    /// injects.
+    /// Per thread, its next recorded forced release's instruction count
+    /// ([`Supervisor::next_forced_release`], `u64::MAX` if none), read at
+    /// each flat rebuild; empty unless the supervisor injects.
     forced_at: Vec<u64>,
     /// Scratch for call/spawn argument marshalling (reused across calls).
     argv: Vec<i64>,
@@ -1531,9 +1530,8 @@ impl<'p> Machine<'p> {
             Yield(u64),
             /// A constituent trapped.
             Trap(String),
-            /// The run's step cap was reached (the op that reached it has
-            /// committed): the step budget, or the thread's next
-            /// injected-release point.
+            /// The step budget or the thread's next injected-release point
+            /// was reached (the op that reached it has committed).
             Cap,
         }
 
@@ -1558,9 +1556,7 @@ impl<'p> Machine<'p> {
                 break None;
             };
             if forcing && front > self.weak_deadline {
-                // The front thread would step past a weak waiter's
-                // expiry: the rebuild forces the release first.
-                break None;
+                break None; // a waiter expired: the rebuild forces first
             }
             if rounds_ok && queue.len() >= 2 {
                 if self.spec.cooldown > 0 {
@@ -1571,13 +1567,10 @@ impl<'p> Machine<'p> {
             }
             let (_, id) = queue[0];
             let tix = id as usize;
-            // The run's bounds: the runner-up key and the step budget. Runs
-            // average few ops, so other executions pay nothing more per
-            // run; when forcing, the key drops to the deadline key, the cap
-            // to the thread's next injected-release point (steps and
-            // icount advance together in a run). A thread already on that
-            // point was polled at the rebuild, and a hot op moves it past
-            // for good. A thread owing a forced reacquire single-steps.
+            // Runs average few ops, so only `forcing` pays for the deadline
+            // key and the cap at the next injected-release point (steps and
+            // icount advance together; a thread already on it was polled at
+            // the rebuild, and a hot op moves it past for good).
             let mut bound = queue.get(1).copied();
             let mut run_cap = max_steps;
             let mut cold = !batch_ok;
@@ -1987,9 +1980,8 @@ impl<'p> Machine<'p> {
                     if steps > max_steps {
                         break Some(Outcome::StepLimit);
                     }
-                    // A step that leaves (or puts) the thread on its
-                    // injected-release point — a block, a reacquire — may
-                    // have changed what the poll answers.
+                    // A step that leaves the thread on its injected-release
+                    // point (a block, a reacquire) may change the poll.
                     if self.finished.is_some()
                         || self.sched_dirty
                         || (forcing
@@ -2049,11 +2041,9 @@ impl<'p> Machine<'p> {
         self.prepare_round(queue);
         // Earliest key among ready threads already sitting at a cold op:
         // segments must stop strictly before it (the queue is sorted, so
-        // the first cold thread has the minimal cold key). A pending
-        // forced reacquire runs before the op at `pc`, and a thread whose
-        // next injected-release point a segment could reach must stop
-        // there for the rebuild's poll, so both count as cold. The
-        // weak-lock deadline key bounds every segment like a cold op.
+        // the first cold thread has the minimal cold key). A pending forced
+        // reacquire, or an injected-release point within a segment's
+        // reach, makes a thread cold; the deadline key is one more bound.
         let deadline = (self.weak_deadline, u32::MAX);
         let bound0 = queue.iter().copied().find(|&(_, id)| {
             let t = &self.threads[id as usize];
@@ -2992,9 +2982,7 @@ impl<'p> Machine<'p> {
         let t = &mut self.threads[tid.index()];
         t.block_start = t.clock;
         if self.config.timeout_enabled && matches!(reason, BlockReason::Weak(..)) {
-            // Blocks are not scheduling events (`sched_dirty` stays
-            // clear), so a new weak waiter lowers the flat loop's deadline
-            // key directly.
+            // Blocks set no `sched_dirty`: lower the flat deadline key here.
             self.weak_deadline = self
                 .weak_deadline
                 .min(t.clock.saturating_add(self.config.weak_timeout));
